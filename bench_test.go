@@ -118,7 +118,7 @@ func benchEstimate(b *testing.B, s core.Strategy) {
 	}
 }
 
-// --- relation-grouped batch scoring vs the legacy per-query path ---
+// --- relation-grouped batch scoring ---
 
 type batchBenchEnv struct {
 	g      *kg.Graph
@@ -176,20 +176,18 @@ func batchEnv(b *testing.B) *batchBenchEnv {
 	return env
 }
 
-// benchEvalPath runs one sampled evaluation pass per iteration (n_s = 10% of
-// |E|, 512 query triples — ~26 queries per relation and direction, enough to
-// amortize each chunk's candidate gather) through either executor. The
-// acceptance bar for the relation-grouped plan is ≥2× fewer ns/op than
-// per-query for DistMult and ComplEx at dim ≥ 128, and ≥1.5× for TuckER and
-// ConvE at dim 256 (the universal batch lane).
-func benchEvalPath(b *testing.B, perQuery bool) {
+// BenchmarkEvaluateBatch measures the relation-grouped executor: one
+// sampled evaluation pass per iteration (n_s = 10% of |E|, 512 query
+// triples — ~26 queries per relation and direction, enough to amortize each
+// chunk's candidate gather).
+func BenchmarkEvaluateBatch(b *testing.B) {
 	e := batchEnv(b)
 	for _, mc := range batchBenchModels {
 		key := fmt.Sprintf("%s/dim%d", mc.name, mc.dim)
 		m := e.models[key]
 		b.Run(key, func(b *testing.B) {
 			prov := &eval.RandomProvider{NumEntities: e.g.NumEntities, N: e.g.NumEntities / 10}
-			opts := eval.Options{Filter: e.filter, Seed: 1, MaxQueries: 512, PerQuery: perQuery}
+			opts := eval.Options{Filter: e.filter, Seed: 1, MaxQueries: 512}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -198,9 +196,6 @@ func benchEvalPath(b *testing.B, perQuery bool) {
 		})
 	}
 }
-
-// BenchmarkEvaluateBatch measures the relation-grouped batch executor.
-func BenchmarkEvaluateBatch(b *testing.B) { benchEvalPath(b, false) }
 
 // BenchmarkEvaluateBatchTraced is BenchmarkEvaluateBatch with a live trace
 // span in the context, so every pass records plan-compile, pool-draw and
@@ -226,10 +221,6 @@ func BenchmarkEvaluateBatchTraced(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEvaluatePerQuery measures the legacy query-at-a-time executor
-// over identical pools — the baseline the batch plan is judged against.
-func BenchmarkEvaluatePerQuery(b *testing.B) { benchEvalPath(b, true) }
 
 // BenchmarkEvaluateBatchPrecision measures the precision knob on the batch
 // executor: one dot-product model at dim 256 gathered from the float64,

@@ -41,7 +41,7 @@ const defaultPattern = "^(BenchmarkFullEvaluation|BenchmarkEstimateRandom|Benchm
 	"BenchmarkEstimateProbabilistic|BenchmarkEvaluateBatch|BenchmarkEvaluateBatchPrecision|" +
 	"BenchmarkEvaluateBatchTraced|" +
 	"BenchmarkEvaluateBatchInt8Native|BenchmarkEvaluateBatchInt8Dequant|" +
-	"BenchmarkEvaluatePerQuery|BenchmarkEstimateMany|BenchmarkLWDFit|BenchmarkBuildStatic|" +
+	"BenchmarkEstimateMany|BenchmarkLWDFit|BenchmarkBuildStatic|" +
 	"BenchmarkKPScore)$"
 
 // Snapshot is the committed artifact. Field names are part of the schema:
@@ -144,9 +144,9 @@ func main() {
 
 // run executes the benchmarks and assembles the snapshot.
 func run(pattern, benchtime string, pr int) (*Snapshot, error) {
-	// -timeout covers the whole binary run: the per-query baselines of the
-	// deep models are minutes-per-op by design, which overruns go test's
-	// default 10m on slow machines.
+	// -timeout covers the whole binary run — every benchmark in the pattern,
+	// each run to benchtime — and sits well above go test's default 10m so a
+	// slow machine cannot cut a snapshot short.
 	args := []string{"test", "-run", "^$", "-bench", pattern, "-benchtime", benchtime, "-benchmem", "-count", "1", "-timeout", "60m", "."}
 	fmt.Fprintf(os.Stderr, "benchsnap: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
@@ -377,7 +377,7 @@ func checkInt8Lanes(path string) error {
 }
 
 // guardPrefix limits the regression guard to the batch-lane benchmarks: they
-// are the PR-over-PR perf contract, while per-query fallbacks and fit micro-
+// are the PR-over-PR perf contract, while the estimate and fit micro-
 // benches exist for reference and are too machine-noise-prone to gate on.
 const guardPrefix = "BenchmarkEvaluateBatch"
 

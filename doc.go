@@ -13,9 +13,9 @@
 //	internal/eval         full + sampled filtered ranking protocols, executed
 //	                      as a relation-grouped plan: queries bucketed per
 //	                      relation, pools drawn once, whole relations scored
-//	                      in batches (the legacy per-query executor remains
-//	                      behind Options.PerQuery as the verified baseline);
-//	                      every Result carries a StageTimings breakdown of
+//	                      in batches, checked against a naive reference
+//	                      ranker in the package tests; every Result
+//	                      carries a StageTimings breakdown of
 //	                      plan compile / pool draw / score / rank-merge time
 //	internal/obs          dependency-free metrics: counters, gauges, exact
 //	                      mergeable histograms, Prometheus text exposition
@@ -36,9 +36,10 @@
 //	                      sites fire seeded error/panic/stall faults; unarmed
 //	                      sites cost one atomic load
 //	internal/kgc          TransE/DistMult/ComplEx/RESCAL/RotatE/TuckER/ConvE;
-//	                      the embedding models implement BatchScorer, scoring
-//	                      all queries of a relation against one gathered
-//	                      candidate block; at int8 precision the translational
+//	                      kgc.NewBatchScorer scores all queries of a
+//	                      relation against one gathered candidate block, and
+//	                      the true answer through the same query builder and
+//	                      kernel; at int8 precision the translational
 //	                      and dot-product kernels score raw quantized rows
 //	                      (tile-local dequantization, bit-identical scores,
 //	                      no materialized float64 block)

@@ -173,10 +173,11 @@ func (f *Framework) Estimate(m kgc.Model, g *kg.Graph, split []kg.Triple, s Stra
 // EstimateMany evaluates several models over one shared set of candidate
 // pools and one filter-index pass: the split is grouped by relation and each
 // pool drawn exactly once, then every model is scored over identical pools
-// (eval.EvaluateMany). This is the multi-model amortization the service's
-// models-jobs and model-selection-during-training workloads rely on;
-// results[i] corresponds to ms[i] and equals what Estimate would return for
-// that model with the same options.
+// (eval.EvaluateMany). The service's multi-model jobs and the
+// model-selection-during-training workload rely on it for the guarantee
+// that every model is ranked on identical candidates; results[i]
+// corresponds to ms[i] and equals what Estimate would return for that
+// model with the same options.
 func (f *Framework) EstimateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, s Strategy, opts eval.Options) []eval.Result {
 	return eval.EvaluateMany(ms, g, split, f.Provider(s), f.seeded(opts))
 }

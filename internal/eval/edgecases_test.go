@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -79,5 +80,51 @@ func TestEvaluateMoreWorkersThanQueries(t *testing.T) {
 	res := Evaluate(formulaModel{}, g, g.Test[:3], NewFullProvider(g.NumEntities), Options{Seed: 1, Workers: 16})
 	if res.Queries != 6 {
 		t.Fatalf("Queries = %d, want 6", res.Queries)
+	}
+}
+
+// nanModel scores every triple NaN, as a model with NaN weights does.
+type nanModel struct{}
+
+func (nanModel) Name() string                      { return "nan" }
+func (nanModel) Dim() int                          { return 1 }
+func (nanModel) ScoreTriple(h, r, t int32) float64 { return math.NaN() }
+func (nanModel) ScoreTails(h, r int32, cands []int32, out []float64) {
+	for i := range out {
+		out[i] = math.NaN()
+	}
+}
+func (m nanModel) ScoreHeads(r, t int32, cands []int32, out []float64) {
+	m.ScoreTails(0, r, cands, out)
+}
+
+// A non-finite true score must rank last, not first: every comparison
+// against a NaN truth is false, so without the worst-rank rule a NaN model
+// evaluated to MRR 1 under both the Full and the Probabilistic protocol.
+func TestNonFiniteTrueScoreRanksWorst(t *testing.T) {
+	for _, ts := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// Candidate 0 is the truth and 2 a known positive, so 1 and 3 survive.
+		got := rankScores(0, ts, []int32{0, 1, 2, 3}, []float64{ts, -1, 7, math.NaN()}, []int32{2})
+		if got != 3 {
+			t.Errorf("true score %v: rank %v, want 3 (worst of two survivors)", ts, got)
+		}
+	}
+
+	g := evalGraph(t)
+	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	lwd := recommender.NewLWD()
+	if err := lwd.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []CandidateProvider{
+		NewFullProvider(g.NumEntities),
+		&ProbabilisticProvider{Scores: lwd.Scores(), N: 30},
+	} {
+		opts := Options{Filter: filter, Seed: 1}
+		res := Evaluate(nanModel{}, g, g.Test, p, opts)
+		if res.MRR > 0.5 || res.Hits1 > 0.1 {
+			t.Errorf("%s: NaN model scored MRR %v, Hits@1 %v", p.Name(), res.MRR, res.Hits1)
+		}
+		checkAgainstOracle(t, p.Name(), res, oracleEvaluate(nanModel{}, g, g.Test, p, opts))
 	}
 }

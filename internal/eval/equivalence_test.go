@@ -25,60 +25,120 @@ func equivalenceProviders(t *testing.T, g *kg.Graph) map[string]CandidateProvide
 	}
 }
 
-// The relation-grouped batch executor is an execution strategy, not a
-// different protocol: for every model architecture (native BatchScorer and
-// adapter fallback alike) and every sampling strategy it must produce
-// bit-identical Metrics to the legacy per-query executor.
-func TestBatchPathMatchesPerQueryAllModelsAllStrategies(t *testing.T) {
+// executorShapes are the executor configurations the equivalence tests run
+// every model and strategy under: worker counts, and a shrunk chunking
+// budget that splits every relation into many small tasks (including the
+// full protocol's 300-entity pools, which the default budget batches 64
+// queries at a time). None of them may move a single rank.
+var executorShapes = []struct {
+	name                    string
+	workers                 int
+	floatBudget, maxQueries int // 0 keeps the default
+}{
+	{"workers=1", 1, 0, 0},
+	{"workers=2", 2, 0, 0},
+	{"workers=7", 7, 0, 0},
+	{"workers=7/small-chunks", 7, 2048, 5},
+}
+
+// withShape runs fn with the chunking variables set as shape asks, then
+// restores them.
+func withShape(floatBudget, maxQueries int, fn func()) {
+	oldBudget, oldMax := batchFloatBudget, maxBatchQueries
+	defer func() { batchFloatBudget, maxBatchQueries = oldBudget, oldMax }()
+	if floatBudget > 0 {
+		batchFloatBudget = floatBudget
+	}
+	if maxQueries > 0 {
+		maxBatchQueries = maxQueries
+	}
+	fn()
+}
+
+// checkAgainstOracle fails t unless res reproduces the reference ranker's
+// Metrics and workload exactly.
+func checkAgainstOracle(t *testing.T, what string, res Result, want oracleResult) {
+	t.Helper()
+	if res.Metrics != want.Metrics {
+		t.Errorf("%s: Evaluate %+v != oracle %+v", what, res.Metrics, want.Metrics)
+	}
+	if res.CandidatesScored != want.CandidatesScored {
+		t.Errorf("%s: Evaluate scored %d candidates, oracle %d", what, res.CandidatesScored, want.CandidatesScored)
+	}
+}
+
+// The relation-grouped executor is an execution strategy, not a different
+// protocol: for every model architecture (the store-backed scorer, and the
+// adapter fallback through formulaModel, whose scores tie often), every
+// sampling strategy and every executor shape it must reproduce the naive
+// reference ranker bit for bit. The oracle's per-query ranks also carry the
+// protocol's subset property: a sampled pool is a subset of the entity set,
+// so no query's sampled filtered rank can exceed its full filtered rank.
+func TestEvaluateMatchesOracleAllModelsAllStrategies(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	providers := equivalenceProviders(t, g)
 
+	models := []kgc.Model{formulaModel{}}
 	for _, name := range kgc.ModelNames() {
 		m, err := kgc.New(name, g, 16, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
+		models = append(models, m)
+	}
+	for _, m := range models {
+		name := m.Name()
+		opts := Options{Filter: filter, Seed: 9}
+		full := oracleEvaluate(m, g, g.Test, providers["Full"], opts)
 		for pname, p := range providers {
-			batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 4})
-			legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 4, PerQuery: true})
-			if batch.Metrics != legacy.Metrics {
-				t.Errorf("%s/%s: batch %+v != per-query %+v", name, pname, batch.Metrics, legacy.Metrics)
+			want := oracleEvaluate(m, g, g.Test, p, opts)
+			for _, sh := range executorShapes {
+				withShape(sh.floatBudget, sh.maxQueries, func() {
+					o := opts
+					o.Workers = sh.workers
+					checkAgainstOracle(t, name+"/"+pname+"/"+sh.name, Evaluate(m, g, g.Test, p, o), want)
+				})
 			}
-			if batch.CandidatesScored != legacy.CandidatesScored {
-				t.Errorf("%s/%s: batch scored %d, per-query %d", name, pname, batch.CandidatesScored, legacy.CandidatesScored)
+			for i, r := range want.Ranks {
+				if r > full.Ranks[i] {
+					t.Errorf("%s/%s: query %d ranks %v sampled, above its full rank %v", name, pname, i, r, full.Ranks[i])
+					break
+				}
 			}
 		}
 	}
 }
 
 // Groups whose pools are too large to amortize an embedding gather fall
-// back to direct per-query scoring inside the batch executor; that path
-// must also match the legacy executor exactly. Shrinking the chunking
+// back to direct per-query scoring inside the executor; that path must
+// also reproduce the reference ranker exactly. Shrinking the chunking
 // budget forces the fallback on a small graph.
-func TestBatchPathDirectFallbackMatchesPerQuery(t *testing.T) {
+func TestDirectFallbackMatchesOracle(t *testing.T) {
 	oldBudget, oldMin := batchFloatBudget, minBatchQueries
 	batchFloatBudget, minBatchQueries = 64, 4 // pools of 30 → chunk 2 < 4 → direct
 	defer func() { batchFloatBudget, minBatchQueries = oldBudget, oldMin }()
 
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
+	p := &RandomProvider{NumEntities: g.NumEntities, N: 30}
+	for _, grp := range newPlan(g.Test, p, Options{Seed: 9}).groups {
+		if !grp.direct {
+			t.Fatalf("relation %d not on the direct path; the test would be vacuous", grp.r)
+		}
+	}
 	for _, name := range []string{"DistMult", "RotatE", "ConvE"} {
 		m, err := kgc.New(name, g, 16, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := &RandomProvider{NumEntities: g.NumEntities, N: 30}
-		batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2})
-		legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Workers: 2, PerQuery: true})
-		if batch.Metrics != legacy.Metrics {
-			t.Errorf("%s: direct fallback %+v != per-query %+v", name, batch.Metrics, legacy.Metrics)
-		}
+		opts := Options{Filter: filter, Seed: 9, Workers: 2}
+		checkAgainstOracle(t, name, Evaluate(m, g, g.Test, p, opts), oracleEvaluate(m, g, g.Test, p, opts))
 	}
 }
 
-// MaxQueries subsampling must select identical queries on both paths.
-func TestBatchPathMatchesPerQueryWithMaxQueries(t *testing.T) {
+// MaxQueries subsampling must select the queries the protocol names.
+func TestEvaluateMatchesOracleWithMaxQueries(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
 	m, err := kgc.New("ComplEx", g, 16, 5)
@@ -86,11 +146,8 @@ func TestBatchPathMatchesPerQueryWithMaxQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &RandomProvider{NumEntities: g.NumEntities, N: 40}
-	batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 2, MaxQueries: 31})
-	legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 2, MaxQueries: 31, PerQuery: true})
-	if batch.Metrics != legacy.Metrics {
-		t.Fatalf("batch %+v != per-query %+v", batch.Metrics, legacy.Metrics)
-	}
+	opts := Options{Filter: filter, Seed: 2, MaxQueries: 31}
+	checkAgainstOracle(t, "ComplEx", Evaluate(m, g, g.Test, p, opts), oracleEvaluate(m, g, g.Test, p, opts))
 }
 
 // EvaluateMany over a shared plan must reproduce the per-model Evaluate

@@ -21,13 +21,13 @@
 // relation-grouped plan (plan.go) — queries bucketed per relation, pools in
 // flat slices — and scores each relation's queries in batches against one
 // gathered candidate block via kgc.BatchScorer. EvaluateMany reuses a single
-// plan across many models, amortizing pool construction for multi-model
-// workloads.
+// plan across many models, so a model fleet is ranked over identical pools.
 package eval
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -67,11 +67,10 @@ type Result struct {
 // where a pass actually spends its time.
 //
 // PlanCompile and PoolDraw are wall-clock (they run once, serially, per
-// plan). Score and RankMerge are summed across worker goroutines, so on a
-// parallel pass they measure CPU time and can exceed Elapsed. Groups that
-// fall back to direct per-query scoring split their time the same way;
-// the legacy PerQuery executor cannot separate the two and reports its
-// whole scoring+ranking loop under Score.
+// plan). Score and RankMerge are worker wall time summed across worker
+// goroutines: on a parallel pass they can exceed Elapsed, and they include
+// time a worker spent descheduled, so they are not CPU time. Groups that
+// fall back to direct per-query scoring split their time the same way.
 type StageTimings struct {
 	// PlanCompile covers grouping the split by relation and chunking the
 	// groups into batch tasks.
@@ -79,20 +78,18 @@ type StageTimings struct {
 	// PoolDraw covers the 2·|R| candidate pool samplings.
 	PoolDraw time.Duration
 	// Score covers model scoring: gathered-block batch kernels, true-triple
-	// scoring, and the direct/per-query fallback loops.
+	// scoring, and the direct per-query fallback loop.
 	Score time.Duration
 	// RankMerge covers rank counting with the known-positive merge sweep.
 	RankMerge time.Duration
 	// KernelTile is the batch-kernel candidate tile the pass selected at
-	// plan compile time (kgc.TileFor over pool size × dim × precision); 0
-	// when the pass ran the per-query executor.
+	// plan compile time (kgc.TileFor over pool size × dim × precision).
 	KernelTile int
 	// KernelLane names the batch execution lane the pass selected:
 	// "int8-native" when Int8 precision ran the raw-quantized-row kernels,
 	// "int8-dequant" when Int8 expanded pools to float64 blocks first
 	// (models without a native kernel, or Options.Int8Dequant), "dequant"
-	// for the float64/float32 gather-expand path, and "" when the pass ran
-	// the per-query executor.
+	// for the float64/float32 gather-expand path.
 	KernelLane string
 }
 
@@ -116,17 +113,12 @@ type Options struct {
 	// honors an explicit Seed of 0 instead of substituting the framework's
 	// default seed.
 	SeedSet bool
-	// PerQuery forces the legacy query-at-a-time executor instead of the
-	// relation-grouped batch planner. Both executors produce bit-identical
-	// Metrics; this exists for equivalence testing and benchmarking.
-	PerQuery bool
-	// Precision selects the embedding-store precision the batch executor
-	// gathers candidate (and answer) entities at. The zero value, Float64,
-	// is the bit-exact reference; Float32 and Int8 trade a bounded metric
+	// Precision selects the embedding-store precision the executor gathers
+	// candidate (and answer) entities at. The zero value, Float64, is the
+	// bit-exact reference; Float32 and Int8 trade a bounded metric
 	// deviation (< 1e-3 MRR on this repo's equivalence gate) for 2×/4×+
-	// smaller entity stores and less gather bandwidth. Ignored by the
-	// PerQuery executor and by models without a native batch lane, which
-	// always score at float64.
+	// smaller entity stores and less gather bandwidth. Ignored by models
+	// without a native batch lane, which always score at float64.
 	Precision store.Precision
 	// Int8Dequant forces the dequantize-first execution path when Precision
 	// is Int8, even for models with an int8-native kernel: the pool is
@@ -186,9 +178,7 @@ type CandidateProvider interface {
 // Execution is relation-grouped: the split is partitioned by relation, each
 // relation's pools are drawn once (2·|R| sampling events), and all queries
 // of a relation are scored in batches against one gathered candidate block
-// (kgc.BatchScorer; plain models run through a per-query adapter). Set
-// Options.PerQuery to force the legacy query-at-a-time executor — both
-// produce bit-identical Metrics.
+// (kgc.BatchScorer; plain models run through a per-query adapter).
 func Evaluate(m kgc.Model, g *kg.Graph, split []kg.Triple, provider CandidateProvider, opts Options) Result {
 	if opts.Filter == nil {
 		opts.Filter = kg.NewFilterIndex(g.Train, g.Valid, g.Test)
@@ -209,12 +199,13 @@ func Evaluate(m kgc.Model, g *kg.Graph, split []kg.Triple, provider CandidatePro
 
 // EvaluateMany runs the protocol for several models over one shared plan:
 // the split is grouped and every candidate pool drawn exactly once, then
-// each model executes over the identical pools. This amortizes pool
-// construction across a model fleet — the model-selection-during-training
-// workload — and guarantees the models are ranked on the same ground.
+// each model executes over the identical pools. What it guarantees is that
+// a model fleet — the model-selection-during-training workload — is ranked
+// on the same ground. It is not a speed optimisation: sharing the plan
+// saves only the pool draws and plan compile, a small share of a pass.
 //
 // results[i] corresponds to ms[i]; per-model Elapsed covers that model's
-// scoring only (the shared plan construction is the amortized part). The
+// scoring only (the shared plan construction is reported in Stages). The
 // Progress hook sees one monotone counter across all models, with total =
 // len(ms) × len(queries). Cancellation via Options.Ctx stops mid-model and
 // skips the models not yet started, leaving their Results zero.
@@ -236,8 +227,8 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 		start := time.Now()
 		results[i] = runPass(m, p, opts, total, &done)
 		results[i].Elapsed = time.Since(start)
-		// The shared plan is the amortized part: every model's Stages carry
-		// the same one-time compile/draw cost alongside its own scoring.
+		// Every model's Stages carry the shared plan's one-time compile/draw
+		// cost alongside its own scoring.
 		results[i].Stages.PlanCompile = p.compileTime
 		results[i].Stages.PoolDraw = p.poolTime
 		observePass(results[i], traceID)
@@ -247,11 +238,16 @@ func EvaluateMany(ms []kgc.Model, g *kg.Graph, split []kg.Triple, provider Candi
 
 // rankScores ranks the true entity against candidate scores, filtering known
 // positives: rank = 1 + #{strictly better} + #{ties}/2 (LibKGE's "realistic"
-// tie policy). Both executors funnel through this one counting loop. cands
-// and known are both sorted ascending (the CandidateProvider contract and
-// the FilterIndex layout), so known-positive filtering is a single merge
-// sweep instead of one binary search per candidate.
+// tie policy). cands and known are both sorted ascending (the
+// CandidateProvider contract and the FilterIndex layout), so known-positive
+// filtering is a single merge sweep instead of one binary search per
+// candidate.
+//
+// A non-finite true score gets the worst rank — every surviving candidate
+// counts as better. Without that rule a NaN truth, against which every
+// comparison is false, would rank first and report MRR 1.
 func rankScores(truth int32, trueScore float64, cands []int32, scores []float64, known []int32) float64 {
+	worst := math.IsNaN(trueScore) || math.IsInf(trueScore, 0)
 	better, ties := 0, 0
 	ki := 0
 	for i, c := range cands {
@@ -265,27 +261,13 @@ func rankScores(truth int32, trueScore float64, cands []int32, scores []float64,
 			continue
 		}
 		switch {
-		case scores[i] > trueScore:
+		case worst || scores[i] > trueScore:
 			better++
 		case scores[i] == trueScore:
 			ties++
 		}
 	}
 	return 1 + float64(better) + float64(ties)/2
-}
-
-// rankTail ranks the true tail of q among the candidates (filtered).
-func rankTail(m kgc.Model, filter *kg.FilterIndex, q kg.Triple, cands []int32, buf []float64) float64 {
-	trueScore := m.ScoreTriple(q.H, q.R, q.T)
-	m.ScoreTails(q.H, q.R, cands, buf)
-	return rankScores(q.T, trueScore, cands, buf, filter.Tails(q.H, q.R))
-}
-
-// rankHead ranks the true head of q among the candidates (filtered).
-func rankHead(m kgc.Model, filter *kg.FilterIndex, q kg.Triple, cands []int32, buf []float64) float64 {
-	trueScore := scoreHeadOne(m, q)
-	m.ScoreHeads(q.R, q.T, cands, buf)
-	return rankScores(q.H, trueScore, cands, buf, filter.Heads(q.R, q.T))
 }
 
 // scoreHeadOne scores the true head through the same code path used for the

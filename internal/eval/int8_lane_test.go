@@ -46,7 +46,8 @@ func TestInt8NativeLaneMatchesDequantLane(t *testing.T) {
 }
 
 // Models without a native int8 kernel must fall back to the dequantize lane
-// (and say so), and the float64 path reports the plain dequant lane.
+// (and say so), and the float64 path reports the plain dequant lane while
+// reproducing the reference ranker.
 func TestKernelLaneReporting(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
@@ -68,12 +69,12 @@ func TestKernelLaneReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := Evaluate(dm, g, g.Test, p, Options{Filter: filter, Seed: 9}); res.Stages.KernelLane != "dequant" {
+	opts := Options{Filter: filter, Seed: 9}
+	res = Evaluate(dm, g, g.Test, p, opts)
+	if res.Stages.KernelLane != "dequant" {
 		t.Errorf("float64 pass reported lane %q, want dequant", res.Stages.KernelLane)
 	}
-	if res := Evaluate(dm, g, g.Test, p, Options{Filter: filter, Seed: 9, PerQuery: true}); res.Stages.KernelLane != "" {
-		t.Errorf("per-query pass reported lane %q, want empty", res.Stages.KernelLane)
-	}
+	checkAgainstOracle(t, "DistMult float64", res, oracleEvaluate(dm, g, g.Test, p, opts))
 }
 
 // Same lane equivalence at a dim that is not a multiple of store.BlockDim:

@@ -27,7 +27,7 @@ type evalInstruments struct {
 }
 
 func newEvalInstruments(reg *obs.Registry) *evalInstruments {
-	stageHelp := "Time per evaluation pipeline stage, in seconds. plan_compile and pool_draw are wall-clock per plan; score and rank_merge are CPU time summed across workers per pass."
+	stageHelp := "Time per evaluation pipeline stage, in seconds. plan_compile and pool_draw are wall-clock per plan; score and rank_merge are worker wall time summed across workers per pass."
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("kgeval_eval_stage_seconds", stageHelp, obs.DurationBuckets, obs.Label{Key: "stage", Value: name})
 	}

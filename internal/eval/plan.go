@@ -29,7 +29,7 @@ type relGroup struct {
 	// gathered embedding block would be huge (for the full protocol it is
 	// the whole entity table) and the few queries per task could never
 	// amortize the copy. These groups score query-at-a-time, streaming the
-	// entity table in place.
+	// pool through a bounded gather block.
 	direct bool
 }
 
@@ -61,8 +61,8 @@ var (
 // plan is the shared, read-only structure of one evaluation pass: the (possibly
 // subsampled) query set grouped by relation, each group's candidate pools
 // drawn exactly once (2·|R| sampling events), and the group chunking. One
-// plan can execute any number of models, which is how EvaluateMany amortizes
-// pool construction across a model fleet.
+// plan can execute any number of models, which is how EvaluateMany ranks a
+// model fleet over identical pools.
 type plan struct {
 	queries []kg.Triple
 	groups  []relGroup
@@ -81,8 +81,7 @@ type plan struct {
 // newPlan groups the queries by relation and draws every pool. Pools are
 // drawn in ascending relation order, tail before head, from a generator
 // seeded with Seed+1 — the draw sequence is part of the protocol: any two
-// executions (batch or per-query, one model or many) with the same Seed see
-// identical pools.
+// executions (one model or many) with the same Seed see identical pools.
 func newPlan(queries []kg.Triple, provider CandidateProvider, opts Options) *plan {
 	// On traced passes the compile span covers all of newPlan, with the
 	// 2·|R| pool draws as a child — mirroring how compileTime/poolTime are
@@ -179,9 +178,10 @@ func subsample(split []kg.Triple, opts Options) []kg.Triple {
 }
 
 // stageClock accumulates scoring and ranking time across the pass's worker
-// goroutines: each worker adds section durations at task granularity, so the
-// totals measure CPU time spent per stage (they exceed wall time on a
-// parallel pass).
+// goroutines: each worker adds the wall time of its sections at task
+// granularity, so the totals are worker time summed per stage (they exceed
+// the pass's wall time on a parallel pass, and include time a worker spent
+// descheduled).
 type stageClock struct {
 	scoreNS atomic.Int64
 	rankNS  atomic.Int64
@@ -213,30 +213,25 @@ func runPass(m kgc.Model, p *plan, opts Options, progressTotal int, done *atomic
 	ranks := make([]float64, 2*len(p.queries))
 	var scored atomic.Int64
 	var clock stageClock
-	var tile int
-	var lane string
-	if opts.PerQuery {
-		runPerQuery(m, p, opts, progressTotal, done, &scored, &clock, ranks)
-	} else {
-		tile = kgc.TileFor(p.maxPool, m.Dim(), opts.Precision)
-		lane = kernelLane(m, opts)
-		runBatch(m, p, opts, tile, lane, progressTotal, done, &scored, &clock, ranks, pass)
-	}
+	tile := kgc.TileFor(p.maxPool, m.Dim(), opts.Precision)
+	lane := kernelLane(m, opts)
+	runBatch(m, p, opts, tile, lane, progressTotal, done, &scored, &clock, ranks, pass)
 	res := Result{Metrics: metricsFromRanks(ranks), CandidatesScored: scored.Load()}
 	res.Stages.Score, res.Stages.RankMerge = clock.timings()
 	res.Stages.KernelTile = tile
 	res.Stages.KernelLane = lane
 	if pass != nil {
-		// Score and rank_merge are CPU time summed across workers (see
-		// StageTimings), not wall intervals; they are rendered as synthetic
-		// spans anchored at the pass start so their widths compare directly,
-		// and tagged so readers don't mistake them for wall clock.
+		// Score and rank_merge are worker wall time summed across workers
+		// (see StageTimings), not wall intervals of the pass; they are
+		// rendered as synthetic spans anchored at the pass start so their
+		// widths compare directly, and tagged so readers don't mistake them
+		// for the pass's wall clock.
 		pass.ChildRecord("eval.score", passStart, passStart.Add(res.Stages.Score),
-			trace.String("timing", "cpu-summed"))
+			trace.String("timing", "worker-summed"))
 		pass.ChildRecord("eval.rank_merge", passStart, passStart.Add(res.Stages.RankMerge),
-			trace.String("timing", "cpu-summed"))
+			trace.String("timing", "worker-summed"))
 		pass.End(trace.Int("queries", res.Queries), trace.Int64("candidates_scored", res.CandidatesScored),
-			trace.Int("tile", tile), trace.String("lane", lane), trace.Bool("per_query", opts.PerQuery))
+			trace.Int("tile", tile), trace.String("lane", lane))
 	}
 	return res
 }
@@ -342,8 +337,8 @@ func runBatch(m kgc.Model, p *plan, opts Options, tile int, lane string, progres
 }
 
 // runTask ranks one chunk of a relation group in both directions. The true
-// triple is scored through the same single-triple code paths the per-query
-// executor uses, so the two executors are bit-identical. Section timings
+// triple is scored through the scorer's per-query entry points, which share
+// the candidates' query builders and kernel. Section timings
 // accumulate locally and land in clock once per task — two timed sections
 // per direction — keeping the instrumentation overhead far below one
 // timestamp per query. When pass is non-nil the task also records itself as
@@ -373,9 +368,9 @@ func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, l
 
 	if g.direct {
 		// Pool too large to amortize an embedding gather: score each query
-		// in place through the per-query model calls (identical arithmetic
-		// to the legacy executor), splitting scoring from rank counting so
-		// the stage breakdown still holds under the full protocol.
+		// through the scorer's per-query entry points, which stream the pool
+		// in bounded blocks, splitting scoring from rank counting so the
+		// stage breakdown still holds under the full protocol.
 		var n int64
 		for _, qi := range idx {
 			q := p.queries[qi]
@@ -461,78 +456,6 @@ func runTask(bs kgc.BatchScorer, p *plan, t batchTask, opts Options, tile int, l
 		}
 	}
 	return n
-}
-
-// runPerQuery is the legacy query-at-a-time executor, kept as the reference
-// implementation the batch path is verified against (and benchmarked over).
-// Its scoring and ranking are interleaved inside rankTail/rankHead, so the
-// stage clock attributes the whole loop to Score.
-func runPerQuery(m kgc.Model, p *plan, opts Options, progressTotal int, done, scored *atomic.Int64, clock *stageClock, ranks []float64) {
-	tailPools := make(map[int32][]int32, len(p.groups))
-	headPools := make(map[int32][]int32, len(p.groups))
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		tailPools[g.r] = g.tailPool
-		headPools[g.r] = g.headPool
-	}
-	var cancel <-chan struct{}
-	if opts.Ctx != nil {
-		cancel = opts.Ctx.Done()
-	}
-	queries := p.queries
-	nw := opts.workers()
-	var wg sync.WaitGroup
-	var relay panicRelay
-	chunk := (len(queries) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer relay.capture()
-			var buf []float64
-			var local, localNS int64
-			defer func() {
-				scored.Add(local)
-				clock.scoreNS.Add(localNS)
-			}()
-			for i := lo; i < hi; i++ {
-				if cancel != nil {
-					select {
-					case <-cancel:
-						return
-					default:
-					}
-				}
-				t0 := time.Now()
-				q := queries[i]
-				tp := tailPools[q.R]
-				buf = growF64(buf, len(tp))
-				ranks[2*i] = rankTail(m, opts.Filter, q, tp, buf)
-				local += int64(len(tp))
-
-				hp := headPools[q.R]
-				buf = growF64(buf, len(hp))
-				ranks[2*i+1] = rankHead(m, opts.Filter, q, hp, buf)
-				local += int64(len(hp))
-				localNS += int64(time.Since(t0))
-
-				d := done.Add(1)
-				if opts.Progress != nil {
-					opts.Progress(int(d), progressTotal)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	relay.rethrow()
 }
 
 func growF64(buf []float64, n int) []float64 {

@@ -69,7 +69,7 @@ func TestPrecisionDeviationWithinBound(t *testing.T) {
 
 // The precision knob must not disturb the Float64 path: an explicit
 // Precision of Float64 is the zero value and stays bit-identical to the
-// per-query executor.
+// reference ranker.
 func TestFloat64PrecisionIsDefault(t *testing.T) {
 	g := evalGraph(t)
 	filter := kg.NewFilterIndex(g.Train, g.Valid, g.Test)
@@ -78,9 +78,6 @@ func TestFloat64PrecisionIsDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &RandomProvider{NumEntities: g.NumEntities, N: 30}
-	batch := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, Precision: store.Float64})
-	legacy := Evaluate(m, g, g.Test, p, Options{Filter: filter, Seed: 9, PerQuery: true})
-	if batch.Metrics != legacy.Metrics {
-		t.Fatalf("explicit Float64 batch %+v != per-query %+v", batch.Metrics, legacy.Metrics)
-	}
+	opts := Options{Filter: filter, Seed: 9, Precision: store.Float64}
+	checkAgainstOracle(t, "explicit Float64", Evaluate(m, g, g.Test, p, opts), oracleEvaluate(m, g, g.Test, p, opts))
 }

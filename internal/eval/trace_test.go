@@ -92,12 +92,12 @@ func TestEvaluateTraced(t *testing.T) {
 		}
 	}
 
-	// CPU-summed synthetic stage spans, two per pass.
+	// Worker-summed synthetic stage spans, two per pass.
 	if n := len(byName["eval.score"]); n != 2 {
 		t.Fatalf("got %d score stage spans, want 2", n)
 	}
-	if byName["eval.score"][0].Attr("timing") != "cpu-summed" {
-		t.Fatal("score stage span not tagged cpu-summed")
+	if byName["eval.score"][0].Attr("timing") != "worker-summed" {
+		t.Fatal("score stage span not tagged worker-summed")
 	}
 
 	// Sampling: every-2nd-task tracing must record strictly fewer chunks;

@@ -2,8 +2,8 @@ package kgc
 
 import "math"
 
-// BatchScorer is an optional Model capability for relation-grouped
-// evaluation: it scores many queries that share one (relation, direction)
+// BatchScorer is the relation-grouped evaluation lane NewBatchScorer builds
+// for a Model: it scores many queries that share one (relation, direction)
 // candidate pool in a single call. Implementations gather the pool's
 // candidate embeddings into one contiguous block per call and reuse it for
 // every query, so the caller should batch all queries of a relation (or a
@@ -12,8 +12,8 @@ import "math"
 // Batch scoring is an execution strategy, not a different protocol: for any
 // model, ScoreTailsBatch must produce bit-identical scores to the equivalent
 // sequence of ScoreTails calls (and likewise for heads). The evaluation
-// engine relies on this to make the relation-grouped plan interchangeable
-// with the per-query path.
+// tests rely on this to hold the relation-grouped executor to a naive
+// per-query reference ranker.
 type BatchScorer interface {
 	Model
 	// ScoreTailsBatch writes the score of (hs[i], r, cands[j]) into
@@ -22,15 +22,6 @@ type BatchScorer interface {
 	// ScoreHeadsBatch writes the score of (cands[j], r, ts[i]) into
 	// out[i*len(cands)+j].
 	ScoreHeadsBatch(ts []int32, r int32, cands []int32, out []float64)
-}
-
-// AsBatchScorer returns a batch lane for m at the reference float64
-// precision and default tile: a store-backed scorer for the native models,
-// m itself if it already implements BatchScorer, or a per-query fallback
-// adapter for externally supplied Models. See NewBatchScorer for the
-// precision/tile knobs and the concurrency contract.
-func AsBatchScorer(m Model) BatchScorer {
-	return NewBatchScorer(m, BatchOptions{})
 }
 
 // batchAdapter implements BatchScorer over any Model by looping per query.

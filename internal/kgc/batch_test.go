@@ -6,8 +6,9 @@ import (
 )
 
 // Batch scoring is only an execution strategy: for every model, the batch
-// methods must reproduce the per-query ScoreTails/ScoreHeads outputs bit for
-// bit, since the evaluation ranks compare raw float scores for equality.
+// methods and the scorer's own per-query entry points must reproduce the
+// model's ScoreTails/ScoreHeads outputs bit for bit, since the evaluation
+// ranks compare raw float scores for equality.
 func TestBatchScoringBitIdentical(t *testing.T) {
 	g := trainGraph(t)
 	rng := rand.New(rand.NewSource(77))
@@ -16,7 +17,7 @@ func TestBatchScoringBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := AsBatchScorer(m)
+		bs := NewBatchScorer(m, BatchOptions{})
 
 		const nq, nc = 13, 37
 		qsEnt := make([]int32, nq)
@@ -31,13 +32,21 @@ func TestBatchScoringBitIdentical(t *testing.T) {
 
 		batch := make([]float64, nq*nc)
 		single := make([]float64, nc)
+		routed := make([]float64, nc)
 
 		bs.ScoreTailsBatch(qsEnt, r, cands, batch)
 		for i, h := range qsEnt {
 			m.ScoreTails(h, r, cands, single)
-			for j := range single {
+			bs.ScoreTails(h, r, cands, routed)
+			for j, c := range cands {
 				if batch[i*nc+j] != single[j] {
 					t.Fatalf("%s: ScoreTailsBatch[%d,%d] = %v, per-query = %v", name, i, j, batch[i*nc+j], single[j])
+				}
+				if routed[j] != single[j] {
+					t.Fatalf("%s: scorer ScoreTails[%d,%d] = %v, model = %v", name, i, j, routed[j], single[j])
+				}
+				if got := bs.ScoreTriple(h, r, c); got != single[j] {
+					t.Fatalf("%s: scorer ScoreTriple(%d,%d,%d) = %v, model = %v", name, h, r, c, got, single[j])
 				}
 			}
 		}
@@ -45,9 +54,13 @@ func TestBatchScoringBitIdentical(t *testing.T) {
 		bs.ScoreHeadsBatch(qsEnt, r, cands, batch)
 		for i, tl := range qsEnt {
 			m.ScoreHeads(r, tl, cands, single)
+			bs.ScoreHeads(r, tl, cands, routed)
 			for j := range single {
 				if batch[i*nc+j] != single[j] {
 					t.Fatalf("%s: ScoreHeadsBatch[%d,%d] = %v, per-query = %v", name, i, j, batch[i*nc+j], single[j])
+				}
+				if routed[j] != single[j] {
+					t.Fatalf("%s: scorer ScoreHeads[%d,%d] = %v, model = %v", name, i, j, routed[j], single[j])
 				}
 			}
 		}
@@ -57,34 +70,23 @@ func TestBatchScoringBitIdentical(t *testing.T) {
 // All seven built-in models score through the universal store-backed batch
 // lane; only externally supplied plain Models fall back to the per-query
 // adapter.
-func TestAsBatchScorerDispatch(t *testing.T) {
+func TestNewBatchScorerDispatch(t *testing.T) {
 	g := trainGraph(t)
 	for _, name := range ModelNames() {
 		m, err := New(name, g, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !IsNativeBatch(m) {
-			t.Errorf("%s: IsNativeBatch = false, want true", name)
-		}
-		bs := AsBatchScorer(m)
+		bs := NewBatchScorer(m, BatchOptions{})
 		if _, ok := bs.(*storeScorer); !ok {
-			t.Errorf("%s: AsBatchScorer = %T, want *storeScorer", name, bs)
+			t.Errorf("%s: NewBatchScorer = %T, want *storeScorer", name, bs)
 		}
 	}
 	// A plain Model (no native contract) gets the per-query adapter.
 	m, _ := New("TransE", g, 8, 1)
-	plain := plainModel{m}
-	if IsNativeBatch(plain) {
-		t.Error("plain Model reported as native batch")
-	}
-	bs := AsBatchScorer(plain)
+	bs := NewBatchScorer(plainModel{m}, BatchOptions{})
 	if _, ok := bs.(batchAdapter); !ok {
-		t.Errorf("plain Model: AsBatchScorer = %T, want batchAdapter", bs)
-	}
-	// Idempotent: adapting an existing BatchScorer must not re-wrap.
-	if again := AsBatchScorer(bs); again != bs {
-		t.Error("AsBatchScorer re-wrapped an existing BatchScorer")
+		t.Errorf("plain Model: NewBatchScorer = %T, want batchAdapter", bs)
 	}
 }
 
@@ -106,7 +108,7 @@ func TestBatchScoringEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := AsBatchScorer(m)
+		bs := NewBatchScorer(m, BatchOptions{})
 		bs.ScoreTailsBatch(nil, 0, []int32{1, 2}, nil)
 		bs.ScoreTailsBatch([]int32{1, 2}, 0, nil, nil)
 		bs.ScoreHeadsBatch(nil, 0, []int32{1, 2}, nil)

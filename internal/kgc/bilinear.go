@@ -73,7 +73,6 @@ func (m *DistMult) ScoreHeads(r, t int32, cands []int32, out []float64) {
 func (m *DistMult) entityTable() *table      { return m.ent }
 func (m *DistMult) entityStores() *entStores { return &m.stores }
 func (m *DistMult) entityBias() *table       { return nil }
-func (m *DistMult) singleViaBatch() bool     { return false }
 
 func (m *DistMult) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	rv := m.rel.vec(r)
@@ -210,7 +209,6 @@ func (m *ComplEx) ScoreHeads(r, t int32, cands []int32, out []float64) {
 func (m *ComplEx) entityTable() *table      { return m.ent }
 func (m *ComplEx) entityStores() *entStores { return &m.stores }
 func (m *ComplEx) entityBias() *table       { return nil }
-func (m *ComplEx) singleViaBatch() bool     { return false }
 
 func (m *ComplEx) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	rv := m.rel.vec(r)
@@ -340,7 +338,6 @@ func (m *RESCAL) ScoreHeads(r, t int32, cands []int32, out []float64) {
 func (m *RESCAL) entityTable() *table      { return m.ent }
 func (m *RESCAL) entityStores() *entStores { return &m.stores }
 func (m *RESCAL) entityBias() *table       { return nil }
-func (m *RESCAL) singleViaBatch() bool     { return false }
 
 func (m *RESCAL) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	w := m.rel.vec(r)

@@ -222,14 +222,12 @@ func (m *ConvE) ScoreHeads(r, t int32, cands []int32, out []float64) {
 
 // Universal batch-lane contract (see scoring.go). The query vector is
 // f(h, r) itself, so candidate scoring is the dot kernel plus the
-// per-entity bias. singleViaBatch is on: the model's own per-query methods
-// allocate a fresh conv/FC stack per call, while the routed path reuses
-// scorer scratch.
+// per-entity bias. The model's own per-query methods allocate a fresh
+// conv/FC stack per call; the batch lane reuses scorer scratch.
 
 func (m *ConvE) entityTable() *table      { return m.ent }
 func (m *ConvE) entityStores() *entStores { return &m.stores }
 func (m *ConvE) entityBias() *table       { return m.entBias }
-func (m *ConvE) singleViaBatch() bool     { return true }
 
 // buildTailQueries computes f(h_i, r) for the whole chunk: conv features
 // per query, then one u-outer pass over the FC weight matrix shared by all

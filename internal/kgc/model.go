@@ -21,9 +21,9 @@ import (
 // Model scores candidate triples; higher scores mean more plausible.
 // Implementations are safe for concurrent use after training completes.
 //
-// Models may additionally implement BatchScorer to score many queries of one
-// (relation, direction) against a shared candidate pool in a single call;
-// the embedding models here all do. AsBatchScorer adapts any plain Model.
+// NewBatchScorer gives any Model a BatchScorer, which scores many queries of
+// one (relation, direction) against a shared candidate pool in a single
+// call.
 type Model interface {
 	// Name identifies the model in tables ("TransE", "ComplEx", ...).
 	Name() string

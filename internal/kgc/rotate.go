@@ -114,7 +114,6 @@ func (m *RotatE) ScoreHeads(r, t int32, cands []int32, out []float64) {
 func (m *RotatE) entityTable() *table      { return m.ent }
 func (m *RotatE) entityStores() *entStores { return &m.stores }
 func (m *RotatE) entityBias() *table       { return nil }
-func (m *RotatE) singleViaBatch() bool     { return false }
 
 func (m *RotatE) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	phases := m.rel.vec(r)

@@ -8,11 +8,11 @@ import (
 
 // BatchOptions selects the execution parameters of a batch scoring lane.
 type BatchOptions struct {
-	// Precision is the entity-store precision candidate (and, for non-default
-	// precisions, answer-side) embeddings are gathered at. Float64 is the
-	// bit-exact reference; Float32 and Int8 trade a bounded score error for
-	// memory footprint and gather bandwidth. Ignored for models without a
-	// native batch lane, which always score at float64.
+	// Precision is the entity-store precision candidate and answer-side
+	// embeddings are gathered at. Float64 is the bit-exact reference;
+	// Float32 and Int8 trade a bounded score error for memory footprint and
+	// gather bandwidth. Ignored for models without a native batch lane,
+	// which always score at float64.
 	Precision store.Precision
 	// Tile is the kernel candidate-tile size; 0 uses the built-in default.
 	// TileFor picks a tuned value from the pool/dim shape.
@@ -48,15 +48,6 @@ type batchNative interface {
 	// kernel scores every query in qs against nc gathered candidate rows,
 	// writing out[i*nc+j]. tile is the candidate blocking factor.
 	kernel(qs, block []float64, nc int, out []float64, tile int)
-	// singleViaBatch reports whether the scorer's per-query entry points
-	// (ScoreTriple/ScoreTails/ScoreHeads) should also route through
-	// buildXQueries+kernel even at float64. Models whose own per-query
-	// methods recompute expensive per-relation state (TuckER's core
-	// contraction, ConvE's conv+FC stack) opt in; the scorer's scratch then
-	// caches that state across the calls of a relation chunk. Opting in
-	// requires the routed path to stay bit-identical to the model's own
-	// per-query methods.
-	singleViaBatch() bool
 }
 
 // int8Kernel is the optional batchNative extension behind the int8-native
@@ -179,19 +170,10 @@ func ResetStores(m Model) {
 	}
 }
 
-// IsNativeBatch reports whether m scores through the universal store-backed
-// batch lane (true for all seven built-in models) rather than the per-query
-// fallback adapter.
-func IsNativeBatch(m Model) bool {
-	_, ok := m.(batchNative)
-	return ok
-}
-
 // NewBatchScorer returns a batch lane for m with explicit precision and
 // tile. Models implementing the native contract get a store-backed scorer;
-// a model that already implements BatchScorer is returned as-is; anything
-// else is wrapped in the per-query adapter (which ignores opts — it always
-// scores at float64 through the model's own methods).
+// anything else is wrapped in the per-query adapter (which ignores opts — it
+// always scores at float64 through the model's own methods).
 //
 // The returned scorer owns reusable scratch buffers and is NOT safe for
 // concurrent use: create one per worker goroutine. Scorers for the same
@@ -203,7 +185,6 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 			m:    bn,
 			st:   bn.entityStores().get(bn.entityTable(), opts.Precision),
 			bias: bn.entityBias(),
-			prec: opts.Precision,
 			tile: opts.Tile,
 		}
 		if opts.Precision == store.Int8 && !opts.Int8Dequant {
@@ -211,27 +192,26 @@ func NewBatchScorer(m Model, opts BatchOptions) BatchScorer {
 		}
 		return s
 	}
-	if bs, ok := m.(BatchScorer); ok {
-		return bs
-	}
 	return batchAdapter{m}
 }
 
 // storeScorer is the universal batch lane: it gathers each chunk's
 // candidate pool from the model's entity store at the selected precision
 // into a scratch block, asks the model to build its query vectors, and
-// streams the block through the model's tiled kernel. One instance owns the
-// scratch, so it is not safe for concurrent use.
+// streams the block through the model's tiled kernel. Its per-query entry
+// points (ScoreTriple, ScoreTails, ScoreHeads) take the same route with a
+// single query, so a true answer and its candidates are always scored by
+// one arithmetic. One instance owns the scratch, so it is not safe for
+// concurrent use.
 type storeScorer struct {
 	m    batchNative
 	st   *store.Store
 	bias *table
-	prec store.Precision
 	tile int
 	i8k  int8Kernel // non-nil: score raw quantized rows (int8-native lane)
 	sc   scratch
 
-	oneID [1]int32 // single-query/candidate id buffers for the routed paths
+	oneID [1]int32 // single-query/candidate id buffers for the per-query entry points
 	oneC  [1]int32
 	oneS  [1]float64
 }
@@ -281,19 +261,8 @@ func (s *storeScorer) scoreBlock(qs []float64, cands []int32, out []float64) {
 	}
 }
 
-// routeSingles reports whether the per-query entry points go through the
-// store-backed path: always at reduced precision (candidates and answer
-// entities must come from the same quantized store the batch kernels read),
-// and at float64 only for models that opt in via singleViaBatch.
-func (s *storeScorer) routeSingles() bool {
-	return s.prec != store.Float64 || s.m.singleViaBatch()
-}
-
 // ScoreTriple scores one triple, consistent with the batch lane.
 func (s *storeScorer) ScoreTriple(h, r, t int32) float64 {
-	if !s.routeSingles() {
-		return s.m.ScoreTriple(h, r, t)
-	}
 	s.oneC[0] = t
 	s.ScoreTails(h, r, s.oneC[:], s.oneS[:])
 	return s.oneS[0]
@@ -301,10 +270,6 @@ func (s *storeScorer) ScoreTriple(h, r, t int32) float64 {
 
 // ScoreTails scores (h, r, cand) for every candidate tail.
 func (s *storeScorer) ScoreTails(h, r int32, cands []int32, out []float64) {
-	if !s.routeSingles() {
-		s.m.ScoreTails(h, r, cands, out)
-		return
-	}
 	dim := s.m.Dim()
 	s.sc.q1 = growF64(s.sc.q1, dim)
 	s.oneID[0] = h
@@ -314,10 +279,6 @@ func (s *storeScorer) ScoreTails(h, r int32, cands []int32, out []float64) {
 
 // ScoreHeads scores (cand, r, t) for every candidate head.
 func (s *storeScorer) ScoreHeads(r, t int32, cands []int32, out []float64) {
-	if !s.routeSingles() {
-		s.m.ScoreHeads(r, t, cands, out)
-		return
-	}
 	dim := s.m.Dim()
 	s.sc.q1 = growF64(s.sc.q1, dim)
 	s.oneID[0] = t

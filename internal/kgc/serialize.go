@@ -21,17 +21,26 @@ const serializeMagic = "KGEVALM1"
 // tableSet is implemented by models that expose their parameter tables for
 // serialization.
 type tableSet interface {
-	tables() []*table
+	tables() []namedTable
 }
 
-func (m *TransE) tables() []*table   { return []*table{m.ent, m.rel} }
-func (m *DistMult) tables() []*table { return []*table{m.ent, m.rel} }
-func (m *ComplEx) tables() []*table  { return []*table{m.ent, m.rel} }
-func (m *RESCAL) tables() []*table   { return []*table{m.ent, m.rel} }
-func (m *RotatE) tables() []*table   { return []*table{m.ent, m.rel} }
-func (m *TuckER) tables() []*table   { return []*table{m.ent, m.rel, m.core} }
-func (m *ConvE) tables() []*table {
-	return []*table{m.ent, m.entBias, m.rel, m.kern, m.kernB, m.fc, m.fcB}
+// namedTable is a parameter table with the name Load errors report it by.
+type namedTable struct {
+	name string
+	*table
+}
+
+func (m *TransE) tables() []namedTable   { return []namedTable{{"entity", m.ent}, {"relation", m.rel}} }
+func (m *DistMult) tables() []namedTable { return []namedTable{{"entity", m.ent}, {"relation", m.rel}} }
+func (m *ComplEx) tables() []namedTable  { return []namedTable{{"entity", m.ent}, {"relation", m.rel}} }
+func (m *RESCAL) tables() []namedTable   { return []namedTable{{"entity", m.ent}, {"relation", m.rel}} }
+func (m *RotatE) tables() []namedTable   { return []namedTable{{"entity", m.ent}, {"relation", m.rel}} }
+func (m *TuckER) tables() []namedTable {
+	return []namedTable{{"entity", m.ent}, {"relation", m.rel}, {"core", m.core}}
+}
+func (m *ConvE) tables() []namedTable {
+	return []namedTable{{"entity", m.ent}, {"entity_bias", m.entBias}, {"relation", m.rel},
+		{"conv_kernel", m.kern}, {"conv_bias", m.kernB}, {"fc", m.fc}, {"fc_bias", m.fcB}}
 }
 
 // extraFloats lets a model persist non-table state (ConvE's BN statistics).
@@ -76,7 +85,10 @@ func Save(w io.Writer, m Model) error {
 }
 
 // Load restores parameters saved by Save into m, which must have been
-// constructed with the same architecture (model name and table shapes).
+// constructed with the same architecture (model name and table shapes). It
+// rejects a checkpoint holding any NaN or ±Inf parameter, naming the table:
+// non-finite weights make scores NaN, and a NaN model must fail to load
+// rather than be evaluated.
 func Load(r io.Reader, m Model) error {
 	ts, ok := m.(tableSet)
 	if !ok {
@@ -111,14 +123,10 @@ func Load(r io.Reader, m Model) error {
 			return err
 		}
 		if int(ln) != len(t.w) {
-			return fmt.Errorf("kgc: table %d has %d params in checkpoint, %d in model", i, ln, len(t.w))
+			return fmt.Errorf("kgc: table %d (%s) has %d params in checkpoint, %d in model", i, t.name, ln, len(t.w))
 		}
-		for j := range t.w {
-			v, err := readF64(br)
-			if err != nil {
-				return err
-			}
-			t.w[j] = v
+		if err := readFinite(br, t.w, fmt.Sprintf("%s table %q", m.Name(), t.name)); err != nil {
+			return err
 		}
 	}
 	extras := modelExtras(m)
@@ -137,12 +145,8 @@ func Load(r io.Reader, m Model) error {
 		if int(ln) != len(*e) {
 			return fmt.Errorf("kgc: extra %d length mismatch", i)
 		}
-		for j := range *e {
-			v, err := readF64(br)
-			if err != nil {
-				return err
-			}
-			(*e)[j] = v
+		if err := readFinite(br, *e, fmt.Sprintf("%s extra state %d", m.Name(), i)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -223,6 +227,22 @@ func readU64(r io.Reader) (uint64, error) {
 func readF64(r io.Reader) (float64, error) {
 	v, err := readU64(r)
 	return math.Float64frombits(v), err
+}
+
+// readFinite fills dst with float64s read from r, failing on the first NaN
+// or ±Inf; what names the destination in the error.
+func readFinite(r io.Reader, dst []float64, what string) error {
+	for j := range dst {
+		v, err := readF64(r)
+		if err != nil {
+			return err
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("kgc: %s holds non-finite value %v at index %d", what, v, j)
+		}
+		dst[j] = v
+	}
+	return nil
 }
 
 func readString(r io.Reader) (string, error) {

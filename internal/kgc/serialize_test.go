@@ -2,8 +2,10 @@ package kgc
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kgeval/internal/kgc/store"
@@ -84,6 +86,32 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if err := Load(bytes.NewReader(nil), m); err == nil {
 		t.Fatal("empty input must fail")
+	}
+}
+
+// A snapshot with non-finite weights must fail to load, naming the table:
+// a DistMult whose relation weights are NaN scores every triple NaN, and a
+// NaN true score used to rank first under every protocol (MRR 1).
+func TestLoadRejectsNonFinite(t *testing.T) {
+	g := trainGraph(t)
+	cases := []struct {
+		table  string
+		poison func(m *DistMult)
+	}{
+		{"relation", func(m *DistMult) { m.rel.w[3] = math.NaN() }},
+		{"entity", func(m *DistMult) { m.ent.w[len(m.ent.w)-1] = math.Inf(-1) }},
+	}
+	for _, c := range cases {
+		m := NewDistMult(g, 8, 1)
+		c.poison(m)
+		var buf bytes.Buffer
+		if err := Save(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		err := Load(bytes.NewReader(buf.Bytes()), NewDistMult(g, 8, 2))
+		if err == nil || !strings.Contains(err.Error(), `table "`+c.table+`"`) {
+			t.Errorf("poisoned %s table: Load error = %v, want one naming the table", c.table, err)
+		}
 	}
 }
 

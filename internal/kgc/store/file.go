@@ -179,6 +179,14 @@ func fromBytes(raw, mapped []byte) (*Store, error) {
 	if dim == 0 || rows > math.MaxInt32 || dim > math.MaxInt32 {
 		return nil, fmt.Errorf("store: implausible shape %d×%d", rows, dim)
 	}
+	// rows·dim fits in 62 bits, but the byte sizes derived from it need not
+	// fit in an int: a crafted shape would wrap them to a size the file
+	// appears to hold. No layout takes more than 9 bytes per value (int8
+	// plus its block parameters), so this bound keeps every section size,
+	// and their sum with header and padding, below MaxInt.
+	if rows*dim > math.MaxInt/16 {
+		return nil, fmt.Errorf("store: shape %d×%d overflows the section sizes", rows, dim)
+	}
 	if prec == Int8 && bd != BlockDim {
 		return nil, fmt.Errorf("store: quantization block dim %d, this build uses %d", bd, BlockDim)
 	}

@@ -83,7 +83,6 @@ func (m *TransE) ScoreHeads(r, t int32, cands []int32, out []float64) {
 func (m *TransE) entityTable() *table      { return m.ent }
 func (m *TransE) entityStores() *entStores { return &m.stores }
 func (m *TransE) entityBias() *table       { return nil }
-func (m *TransE) singleViaBatch() bool     { return false }
 
 func (m *TransE) buildTailQueries(hs []int32, r int32, qs []float64, _ *scratch) {
 	rv := m.rel.vec(r)

@@ -134,14 +134,13 @@ func (m *TuckER) ScoreHeads(r, t int32, cands []int32, out []float64) {
 	}
 }
 
-// Universal batch-lane contract (see scoring.go). singleViaBatch is on:
-// the model's own per-query methods recompute the O(d³) core contraction
-// per call, while the routed path reuses the chunk's cached M_r.
+// Universal batch-lane contract (see scoring.go). The model's own per-query
+// methods recompute the O(d³) core contraction per call; the batch lane
+// reuses the chunk's cached M_r.
 
 func (m *TuckER) entityTable() *table      { return m.ent }
 func (m *TuckER) entityStores() *entStores { return &m.stores }
 func (m *TuckER) entityBias() *table       { return nil }
-func (m *TuckER) singleViaBatch() bool     { return true }
 
 func (m *TuckER) buildTailQueries(hs []int32, r int32, qs []float64, sc *scratch) {
 	d := m.dim

@@ -72,8 +72,9 @@ type JobSpec struct {
 	Model ModelSpec `json:"model"`
 	// Models, when non-empty, evaluates several snapshots in one pass over
 	// shared candidate pools (core.Framework.EstimateMany): pools are drawn
-	// once and every model is ranked on identical ground, amortizing the
-	// per-pass setup across the fleet — the model-selection workload.
+	// once, which guarantees every model of the fleet is ranked on
+	// identical candidates — the model-selection workload. It is not a
+	// speed-up over separate jobs.
 	// Results appear per model in Status.Results, in submission order.
 	Models []ModelSpec `json:"models,omitempty"`
 	// Split selects the query set: "test" (default) or "valid".
